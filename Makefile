@@ -1,8 +1,12 @@
 GO ?= go
 
-.PHONY: all vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
+.PHONY: all fmt vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
 
 all: check
+
+# Every Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 vet:
 	$(GO) vet ./...
@@ -62,7 +66,7 @@ race-hlc:
 race-chaos:
 	CHAOS_SECONDS=$${CHAOS_SECONDS:-30} $(GO) test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos/
 
-check: vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
+check: fmt vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
 
 # Hot-path microbenchmarks (the numbers tracked across PRs), published as a
 # dated JSON trajectory: `make bench` runs the Fig-adjacent cluster

@@ -196,7 +196,7 @@ func run() int {
 		want = map[string]bool{
 			"fig1a": true, "fig1c": true, "getput-sweep": true,
 			"fig3a": true, "tx-sweep": true, "partition": true,
-			"frontdoor": true,
+			"frontdoor":     true,
 			"ablation-stab": true, "ablation-hb": true,
 			"ablation-skew": true, "ablation-think": true,
 			"visibility": true,

@@ -167,9 +167,12 @@
 // bounded in-flight window. Crash recovery thus becomes per-replica resync:
 // a server killed with unflushed replication buffers — or cut off from the
 // stream entirely — rejoins and converges without restarting the world.
-// Config.CatchUp selects the mode (enabled automatically for durable
-// deployments); Stats exposes per-DC and per-link replication lag and
-// catch-up counters.
+// Every deployment runs this one mechanism. An in-memory sender has no log
+// to stream from, so it answers a request with Unsupported and the
+// receiver resumes the link at the sender's resume point; over the
+// lossless FIFO links of the system model no gap opens and no round
+// starts. Stats exposes per-DC and per-link replication lag and catch-up
+// counters.
 //
 // # Dynamic membership
 //

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/causaltest"
 	"repro/internal/keyspace"
+	"repro/internal/vclock"
 )
 
 // TestCatchUpAfterCrashLostBufferTail is the deterministic buffer-tail-loss
@@ -89,13 +91,18 @@ func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 // busy. After the link heals, the lagging replica must detect the sequence
 // gap, catch up via WAL shipping, and the whole cluster must satisfy the
 // causal session guarantees and converge.
+//
+// The scenario is driven by protocol events, not by sleeps: the drop opens
+// once the node has received workload batches, closes once the relay has
+// discarded one, and the sessions keep running until a tail of operations
+// after the heal — so the gap always exists and the heal always sees traffic.
 func TestCatchUpAfterDroppedLink(t *testing.T) {
 	const (
 		dcs        = 3
 		partitions = 2
 		keys       = 8
 		sessions   = 2
-		opsPer     = 150
+		tailOps    = 300 // operations the sessions run after the heal
 	)
 	c := newCluster(t, Config{
 		NumDCs: dcs, NumPartitions: partitions, Engine: POCC,
@@ -111,7 +118,13 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()
 
-	var wg sync.WaitGroup
+	var (
+		wg   sync.WaitGroup
+		ops  atomic.Uint64
+		stop = make(chan struct{})
+	)
+	stopSessions := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopSessions()
 	for dc := 0; dc < dcs; dc++ {
 		for si := 0; si < sessions; si++ {
 			sess, err := c.NewSession(dc)
@@ -123,7 +136,12 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 			go func(dc, si int, cs *causaltest.Session) {
 				defer wg.Done()
 				rng := rand.New(rand.NewPCG(1010, uint64(dc*1000+si)))
-				for op := 0; op < opsPer; op++ {
+				for op := 0; ; op++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
 					key := tbl.Key(int(rng.Uint64N(partitions)), int(rng.Uint64N(keys)))
 					var err error
 					switch {
@@ -139,22 +157,46 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 						t.Errorf("dc%d s%d op %d: %v", dc, si, op, err)
 						return
 					}
+					ops.Add(1)
 				}
 			}(dc, si, cs)
 		}
 	}
 
-	// Sever the inbound replication plane of dc2-p0 while traffic flows,
-	// then heal it. Messages in the window are gone, not delayed.
-	time.Sleep(60 * time.Millisecond)
-	if err := c.DropInboundReplication(2, 0, true); err != nil {
+	// Open the drop only once workload batches reach dc2-p0: a head there
+	// carrying a session's two-byte value from another DC (seeded values
+	// are eight bytes) arrived in a replication batch.
+	const victimDC, victimP = 2, 0
+	if !waitUntil(t, 10*time.Second, func() bool {
+		for r := 0; r < keys; r++ {
+			h := c.Server(victimDC, victimP).Store().Head(tbl.Key(victimP, r))
+			if h != nil && h.SrcReplica != victimDC && len(h.Value) == 2 {
+				return true
+			}
+		}
+		return false
+	}) {
+		t.Fatal("no workload batch ever reached dc2-p0")
+	}
+	// Sever the node's inbound replication plane until the relay has
+	// discarded a workload batch, then heal it. Messages in the window are
+	// gone, not delayed.
+	if err := c.DropInboundReplication(victimDC, victimP, true); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(120 * time.Millisecond)
-	if err := c.DropInboundReplication(2, 0, false); err != nil {
+	rl := c.relays[victimDC][victimP]
+	waitUntil(t, 10*time.Second, func() bool { return rl.droppedBatches.Load() > 0 })
+	if err := c.DropInboundReplication(victimDC, victimP, false); err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
+	if rl.droppedBatches.Load() == 0 {
+		t.Fatal("the drop window discarded no batch; the scenario needs a gap")
+	}
+	healedAt := ops.Load()
+	if !waitUntil(t, 10*time.Second, func() bool { return ops.Load() >= healedAt+tailOps }) {
+		t.Errorf("sessions stalled after the heal: %d of %d tail ops", ops.Load()-healedAt, tailOps)
+	}
+	stopSessions()
 
 	for _, v := range reg.Violations() {
 		t.Error(v)
@@ -213,5 +255,58 @@ func TestCatchUpCountersExposed(t *testing.T) {
 		return st.CatchUpsActive == 0 && st.MaxLag() < 250*time.Millisecond
 	}) {
 		t.Fatalf("replication plane never settled: %+v", c.ReplicationStats())
+	}
+}
+
+// TestInMemoryLinksAdoptAtFirstContact: in-memory deployments verify the
+// sequence on every replication link, as durable ones do. Over lossless
+// FIFO links each stream is adopted at first contact, so a PUT workload
+// moves every version-vector entry past the origin's last write without a
+// single catch-up request.
+func TestInMemoryLinksAdoptAtFirstContact(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"netemu", nil},
+		{"tcp", []Option{WithTCP()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const dcs, partitions = 3, 2
+			c := NewTestCluster(t, Topology{DCs: dcs, Partitions: partitions},
+				append(tc.opts, WithHeartbeat(time.Millisecond))...)
+			last := make([]vclock.Timestamp, dcs) // newest PUT per origin DC
+			for dc := 0; dc < dcs; dc++ {
+				sess, err := c.NewSession(dc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 50; i++ {
+					ut, _, err := sess.PutMeta(fmt.Sprintf("k%d-%d", dc, i), []byte("v"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					last[dc] = max(last[dc], ut)
+				}
+			}
+			if !waitUntil(t, 10*time.Second, func() bool {
+				for dc := 0; dc < dcs; dc++ {
+					for p := 0; p < partitions; p++ {
+						vv := c.Server(dc, p).VV()
+						for src := range last {
+							if vv.Get(src) < last[src] {
+								return false
+							}
+						}
+					}
+				}
+				return true
+			}) {
+				t.Fatalf("version vectors never covered the workload (stats %+v)", c.ReplicationStats())
+			}
+			if st := c.ReplicationStats(); st.CatchUpsRequested != 0 {
+				t.Fatalf("in-memory links requested %d catch-up rounds; want every stream adopted at first contact", st.CatchUpsRequested)
+			}
+		})
 	}
 }

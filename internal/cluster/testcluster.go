@@ -68,8 +68,8 @@ func WithLeanStabilization() Option {
 }
 
 // WithDataDir makes every server durable (WAL-backed storage under dir),
-// which also enables crash-restarts, replication catch-up, AddDC and the
-// reshard bootstrap on durable history.
+// which also enables crash-restarts, WAL-shipped replication catch-up,
+// AddDC and the reshard bootstrap on durable history.
 func WithDataDir(dir string) Option {
 	return func(c *Config) { c.DataDir = dir }
 }

@@ -67,11 +67,8 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 	if !waitUntil(t, time.Second, func() bool {
 		total := 0
 		for _, m := range r.received(id) {
-			switch mm := m.(type) {
-			case msg.ReplicateBatch:
-				total += len(mm.Versions)
-			case msg.Replicate:
-				total++
+			if b, ok := m.(msg.ReplicateBatch); ok {
+				total += len(b.Versions)
 			}
 		}
 		return total == 3
@@ -101,15 +98,12 @@ func TestReplicationFlushIntervalKnob(t *testing.T) {
 // the covering heartbeat timestamp.
 func TestApplyReplicateBatchAdvancesVVAndServesVersions(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
-	batch := msg.ReplicateBatch{
-		Versions: []*item.Version{
-			{Key: "a", Value: []byte("v1"), SrcReplica: 1, UpdateTime: 100, Deps: vclock.New(3)},
-			{Key: "b", Value: []byte("v2"), SrcReplica: 1, UpdateTime: 200, Deps: vclock.New(3)},
-			{Key: "a", Value: []byte("v3"), SrcReplica: 1, UpdateTime: 300, Deps: vclock.New(3)},
-		},
-		HBTime: 350, // covering heartbeat beyond the last version
-	}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, batch)
+	// HBTime 350 is the covering heartbeat beyond the last version.
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 350,
+		&item.Version{Key: "a", Value: []byte("v1"), SrcReplica: 1, UpdateTime: 100, Deps: vclock.New(3)},
+		&item.Version{Key: "b", Value: []byte("v2"), SrcReplica: 1, UpdateTime: 200, Deps: vclock.New(3)},
+		&item.Version{Key: "a", Value: []byte("v3"), SrcReplica: 1, UpdateTime: 300, Deps: vclock.New(3)},
+	)
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 350 }) {
 		t.Fatalf("VV[1] = %d, want the covering HBTime 350", r.srv.VV().Get(1))
 	}
@@ -140,12 +134,8 @@ func TestBatchUnblocksWaitingGet(t *testing.T) {
 		t.Fatalf("GET returned early: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.ReplicateBatch{
-		Versions: []*item.Version{
-			{Key: "k0", Value: []byte("dep"), SrcReplica: 1, UpdateTime: 5000, Deps: vclock.New(3)},
-		},
-		HBTime: 5000,
-	})
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 5000,
+		&item.Version{Key: "k0", Value: []byte("dep"), SrcReplica: 1, UpdateTime: 5000, Deps: vclock.New(3)})
 	select {
 	case err := <-done:
 		if err != nil {

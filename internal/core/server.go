@@ -174,14 +174,6 @@ type Config struct {
 	// (checkpoint trigger, segment size, fsync policy). Ignored when Engine
 	// is provided or DataDir is empty.
 	DurableOptions storage.DurableOptions
-	// CatchUp enables the replication catch-up protocol: outgoing batches
-	// and heartbeats carry incarnation epochs and sequence numbers, and the
-	// receive side freezes a link's version-vector advancement on a gap (or
-	// a restarted sender) until the missing history has been re-shipped out
-	// of the sender's write-ahead log (internal/repl). Requires a durable
-	// engine to serve streams; a server without one answers Unsupported and
-	// peers fall back to optimistic application.
-	CatchUp bool
 	// CatchUpMaxInFlight bounds the un-acked catch-up bytes per outbound
 	// stream (0 = default 1 MiB).
 	CatchUpMaxInFlight int
@@ -196,7 +188,7 @@ type Config struct {
 	// deployment: its replication manager pulls every partition's history
 	// from its siblings through WAL-shipped catch-up, and the stabilization
 	// loop does not start — this server contributes nothing to the GSS —
-	// until the bootstrap completes. Requires CatchUp.
+	// until the bootstrap completes.
 	Joining bool
 	// JoinTimeout bounds how long a Joining server keeps soliciting the
 	// deployment before giving up: past it the join solicitation stops and
@@ -601,7 +593,6 @@ func NewServer(cfg Config) (*Server, error) {
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		BatchSize:         cfg.ReplicationBatchSize,
 		FlushInterval:     cfg.ReplicationFlushInterval,
-		CatchUp:           cfg.CatchUp,
 		Source:            src,
 		MaxInFlightBytes:  cfg.CatchUpMaxInFlight,
 		MaxDCs:            cfg.MaxDCs,
@@ -1208,8 +1199,6 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		return
 	}
 	switch mm := m.(type) {
-	case msg.Replicate:
-		s.applyReplicate(src, mm)
 	case msg.ReplicateBatch:
 		s.repl.HandleBatch(src, mm)
 	case msg.Heartbeat:
@@ -1249,17 +1238,6 @@ func (s *Server) handle(src netemu.NodeID, m any) {
 		go s.serveSlice(src, mm)
 	case msg.SliceResp:
 		s.applySliceResp(src.Partition, mm)
-	}
-}
-
-// applyReplicate installs a legacy single-version replicate message and
-// advances the version vector optimistically (Algorithm 2, lines 16-18).
-// The replication manager only emits sequenced batches now; this path
-// remains for unsequenced senders (tests and old peers).
-func (s *Server) applyReplicate(src netemu.NodeID, m msg.Replicate) {
-	s.store.Insert(m.V)
-	if s.vv.raiseTo(src.DC, m.V.UpdateTime) {
-		s.vvWaiters.wake()
 	}
 }
 

@@ -23,6 +23,7 @@ type rig struct {
 	mu     sync.Mutex
 	inbox  map[netemu.NodeID][]any // messages received by fake peers
 	fakeEP map[netemu.NodeID]*netemu.Endpoint
+	seq    map[netemu.NodeID]uint64 // last batch sequence sent per fake peer
 }
 
 func newRig(t *testing.T, cfg Config) *rig {
@@ -31,6 +32,7 @@ func newRig(t *testing.T, cfg Config) *rig {
 		t:      t,
 		inbox:  make(map[netemu.NodeID][]any),
 		fakeEP: make(map[netemu.NodeID]*netemu.Endpoint),
+		seq:    make(map[netemu.NodeID]uint64),
 	}
 	r.net = netemu.New(netemu.Config{})
 	if cfg.NumDCs == 0 {
@@ -92,6 +94,17 @@ func (r *rig) received(id netemu.NodeID) []any {
 // inject sends a message from a fake peer to the server.
 func (r *rig) inject(from netemu.NodeID, m any) {
 	r.fakeEP[from].Send(netemu.NodeID{DC: 0, Partition: 0}, m)
+}
+
+// replicate sends the next batch of a fake sibling's replication stream:
+// epoch 1, sequence 1, 2, … per link, as a real sibling stamps them, so the
+// server adopts the stream at first contact and advances its VV entry to
+// hb (or the last version's timestamp, if later).
+func (r *rig) replicate(from netemu.NodeID, hb vclock.Timestamp, vs ...*item.Version) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.seq[from]++
+	r.inject(from, msg.ReplicateBatch{Versions: vs, HBTime: hb, Epoch: 1, Seq: r.seq[from]})
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -246,7 +259,7 @@ func TestReplicateAdvancesVVAndServesFreshVersion(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Hour})
 	v := &item.Version{Key: "k0", Value: []byte("remote"), SrcReplica: 1,
 		UpdateTime: 12345, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: v})
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 0, v)
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 12345 }) {
 		t.Fatalf("VV[1] = %d, want 12345", r.srv.VV().Get(1))
 	}
@@ -291,7 +304,7 @@ func TestGetBlocksUntilDependencyArrives(t *testing.T) {
 	// The missing dependency arrives.
 	v := &item.Version{Key: "k0", Value: []byte("dep"), SrcReplica: 1,
 		UpdateTime: need, Deps: vclock.VC{0, 0, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: v})
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 0, v)
 
 	select {
 	case res := <-done:
@@ -421,7 +434,7 @@ func TestPessimisticGetHidesUnstableVersion(t *testing.T) {
 	// fake peer partition never exchanges a VV.
 	fresh := &item.Version{Key: "k0", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 100000, Deps: vclock.VC{0, 90000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: fresh})
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 0, fresh)
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) == 100000 }) {
 		t.Fatal("replication not applied")
 	}
@@ -642,7 +655,7 @@ func TestROTxSnapshotIncludesUnstableReceived(t *testing.T) {
 	r := newRig(t, Config{HeartbeatInterval: time.Millisecond, NumPartitions: 1})
 	fresh := &item.Version{Key: "a", Value: []byte("fresh"), SrcReplica: 1,
 		UpdateTime: 60000, Deps: vclock.VC{0, 50000, 0}}
-	r.inject(netemu.NodeID{DC: 1, Partition: 0}, msg.Replicate{V: fresh})
+	r.replicate(netemu.NodeID{DC: 1, Partition: 0}, 0, fresh)
 	if !waitUntil(t, time.Second, func() bool { return r.srv.VV().Get(1) >= 60000 }) {
 		t.Fatal("replication not applied")
 	}

@@ -11,13 +11,6 @@ import (
 	"repro/internal/vclock"
 )
 
-// Replicate carries a freshly created version to the sibling replicas of its
-// partition in the other data centers. Replication messages from one node are
-// sent in update-timestamp order (the FIFO links preserve it).
-type Replicate struct {
-	V *item.Version
-}
-
 // ReplicateBatch carries a batch of freshly created versions, in update-
 // timestamp order, to the sibling replicas. Senders accumulate updates and
 // flush on the heartbeat tick (Δ) or when a size threshold is reached;
@@ -30,8 +23,7 @@ type Replicate struct {
 // batches 1, 2, 3, … within that incarnation. Because every flush goes to
 // every sibling DC, each link observes the same gap-free sequence; a
 // receiver that sees a hole — or a new epoch — knows updates were lost on
-// that link and can request a catch-up (internal/repl). Epoch 0 marks a
-// legacy, unsequenced batch: receivers apply it optimistically.
+// that link and can request a catch-up (internal/repl).
 //
 // Floor is the sender incarnation's starting history floor: every version
 // it originated before this incarnation has a timestamp ≤ Floor (the
@@ -58,8 +50,8 @@ type ReplicateBatch struct {
 // Seq mirror ReplicateBatch: Seq is the sender's last flushed batch
 // sequence, letting receivers verify the link is gap-free before advancing
 // their version vector on an otherwise data-free message (an idle restarted
-// sender is detected exactly here). Epoch 0 marks a legacy heartbeat; Floor
-// is the incarnation's starting history floor (see ReplicateBatch).
+// sender is detected exactly here). Floor is the incarnation's starting
+// history floor (see ReplicateBatch).
 type Heartbeat struct {
 	Time  vclock.Timestamp
 	Epoch uint64
@@ -103,8 +95,9 @@ type DepartedClaim struct {
 // sender guarantees the requester now holds every version it originated
 // with a timestamp ≤ Through, and that batches after (ResumeEpoch,
 // ResumeSeq) continue the link's sequence from there. Unsupported marks a
-// sender without a durable log to stream from; the requester falls back to
-// optimistic (pre-catch-up) semantics for the link.
+// sender without a durable log to stream from (every in-memory deployment):
+// nothing was streamed, and the requester resumes the link at the resume
+// point on the sender's word.
 // FullResync marks a stream the sender had to restart from timestamp zero:
 // the requested From lies below the sender's checkpoint-compaction floor, so
 // the (From, Through] range alone could silently miss versions a checkpoint

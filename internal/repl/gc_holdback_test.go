@@ -50,7 +50,7 @@ func TestFullResyncBelowCompactedFloor(t *testing.T) {
 		floor: vclock.VC{200, 0},
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -104,7 +104,7 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 		floor: vclock.VC{200, 0},
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -139,7 +139,7 @@ func TestIncrementalAboveCompactedFloor(t *testing.T) {
 // its stats — the regression is observable, not silent.
 func TestReceiverCountsFullResync(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	// A gap starts a round: seq 5 with no history known resyncs.
@@ -171,7 +171,7 @@ func TestReceiverCountsFullResync(t *testing.T) {
 // garbage forever.
 func TestGCHoldbackPinsAndReleases(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	dst := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleCatchUpRequest(dst, msg.CatchUpRequest{
@@ -208,7 +208,7 @@ func TestGCHoldbackPinsAndReleases(t *testing.T) {
 // presence zeroes the GC contribution entirely until it announces Active.
 func TestClampGCJoinerPinsZero(t *testing.T) {
 	m, _, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, MaxDCs: 3,
 		Membership: msg.Membership{
 			Epoch:  4,
 			Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining},
@@ -250,7 +250,6 @@ func TestClampGCNeverPrunesBelowResumeFloor(t *testing.T) {
 		}
 		m, _, _ := newTestManager(t, Config{
 			ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: maxDCs, MaxDCs: maxDCs,
-			CatchUp:    true,
 			Membership: msg.Membership{Epoch: uint64(iter), Status: append([]uint8(nil), status...)},
 		})
 

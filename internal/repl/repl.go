@@ -29,10 +29,14 @@
 // again from the new, strictly higher floor, so rounds always make
 // progress.
 //
-// Deployments without a durable engine (no catch-up source) answer
-// Unsupported and the receiver falls back to the optimistic pre-catch-up
-// semantics, exactly the behavior of in-memory deployments where a crashed
-// replica has nothing to re-ship anyway.
+// Every link runs this one state machine, durable or not. A sender without
+// a durable log — every link of an in-memory deployment — answers a
+// catch-up request with Unsupported: its Done chunk carries the resume
+// point, and the receiver installs the batches it parked during the round,
+// raises its VV to the sender's Through and resumes the link on the
+// sender's word: it keeps no log to re-ship a lost batch from. Over the
+// system model's lossless FIFO links no gap opens, so such links adopt the
+// stream at first contact and never start a round.
 //
 // # Membership
 //
@@ -247,11 +251,6 @@ type Config struct {
 	// FlushInterval is the timed flush cadence (0 = HeartbeatInterval,
 	// negative = flush inline on every update).
 	FlushInterval time.Duration
-	// CatchUp enables sequenced-stream verification and gap recovery on the
-	// inbound side. Disabled, the manager applies whatever arrives and
-	// advances the VV optimistically — the pre-catch-up semantics, right for
-	// in-memory deployments.
-	CatchUp bool
 	// Source serves outbound catch-up streams; nil answers requests with
 	// Unsupported.
 	Source Source
@@ -265,8 +264,8 @@ type Config struct {
 	// Joining marks this node's DC as bootstrapping into an existing
 	// deployment: the manager sends JoinRequests to every active sibling,
 	// pulls each link's history through catch-up, and announces the DC
-	// Active when every link is synced. Requires CatchUp (bootstrap *is* the
-	// catch-up protocol).
+	// Active when every link is synced (bootstrap *is* the catch-up
+	// protocol).
 	Joining bool
 	// JoinTimeout abandons a bootstrap that has not completed within the
 	// given duration: the manager stops soliciting and JoinFailed reports
@@ -509,9 +508,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	if len(cfg.Membership.Status) > maxDCs {
 		return nil, fmt.Errorf("repl: initial membership names %d DCs, capacity is %d",
 			len(cfg.Membership.Status), maxDCs)
-	}
-	if cfg.Joining && !cfg.CatchUp {
-		return nil, errors.New("repl: Joining requires CatchUp (bootstrap is the catch-up protocol)")
 	}
 	if cfg.ID.DC < 0 || cfg.ID.DC >= maxDCs {
 		return nil, fmt.Errorf("repl: id %v outside the DC capacity %d", cfg.ID, maxDCs)
@@ -823,10 +819,9 @@ func (r *Manager) sealDeparted(dc int, final vclock.Timestamp) {
 		return
 	}
 	r.be.DropAbove(dc, final)
-	if !r.cfg.CatchUp || r.be.VVEntry(dc) >= final {
-		return
+	if r.be.VVEntry(dc) < final {
+		r.fillDepartedGaps()
 	}
-	r.fillDepartedGaps()
 }
 
 // fillDepartedGaps starts a catch-up round on every quiet surviving link
@@ -1366,13 +1361,11 @@ func (r *Manager) heartbeatLoop() {
 				r.maybeFinishJoin()
 			}
 		}
-		if r.cfg.CatchUp {
-			// Departed-DC gaps heal through ordinary catch-up on the live
-			// links; retry until the recorded finals are reached (a one-shot
-			// round can race a survivor that has not yet learned of the
-			// departure and answers without a claim).
-			r.fillDepartedGaps()
-		}
+		// Departed-DC gaps heal through ordinary catch-up on the live links;
+		// retry until the recorded finals are reached (a one-shot round can
+		// race a survivor that has not yet learned of the departure and
+		// answers without a claim).
+		r.fillDepartedGaps()
 	}
 }
 
@@ -1444,15 +1437,10 @@ func (r *Manager) HandleBatch(src netemu.NodeID, m msg.ReplicateBatch) {
 	// HLC receive rule: fold the remote attestation into the local clock so
 	// the next local write is stamped past everything it could depend on.
 	r.clk.Observe(adv)
-	if r.cfg.CatchUp && m.Epoch != 0 && r.deferWhilePending(src.DC, m, adv) {
+	if r.deferWhilePending(src.DC, m, adv) {
 		return
 	}
 	r.be.ApplyRemote(r.filterDeparted(m.Versions), m.SlotEpoch)
-	if !r.cfg.CatchUp || m.Epoch == 0 {
-		// Catch-up disabled, or a legacy unsequenced batch: optimistic apply.
-		r.be.RaiseVV(src.DC, adv)
-		return
-	}
 	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, adv, true)
 }
 
@@ -1494,10 +1482,6 @@ func (r *Manager) HandleHeartbeat(src netemu.NodeID, m msg.Heartbeat) {
 		return
 	}
 	r.clk.Observe(m.Time)
-	if !r.cfg.CatchUp || m.Epoch == 0 {
-		r.be.RaiseVV(src.DC, m.Time)
-		return
-	}
 	r.handleSequenced(src.DC, m.Epoch, m.Seq, m.Floor, m.Time, false)
 }
 
@@ -1785,9 +1769,10 @@ func (r *Manager) HandleCatchUpReply(src netemu.NodeID, m msg.CatchUpReply) {
 	}
 	// The sender guarantees every version it originated with a timestamp ≤
 	// Through is now present (previously received, or streamed in this
-	// round). An Unsupported reply makes the same advance on the optimistic
-	// fallback semantics instead. Raised under the link lock (capped by a
-	// pending eviction attestation) like every sequenced advance.
+	// round). An Unsupported reply makes the same advance on the sender's
+	// word alone (it has no log to re-ship from). Raised under the link
+	// lock (capped by a pending eviction attestation) like every sequenced
+	// advance.
 	r.be.RaiseVV(src.DC, capRaiseLocked(st, m.Through))
 	if chainRaise > 0 {
 		r.be.RaiseVV(src.DC, capRaiseLocked(st, chainRaise))
@@ -2107,7 +2092,7 @@ func (r *Manager) serveCatchUp(src netemu.NodeID, s *catchUpServe, req msg.Catch
 			return // superseded or shutting down; no resume point
 		}
 		// The log could not prove completeness (read error). Answer
-		// Unsupported so the receiver falls back to optimistic semantics
+		// Unsupported so the receiver resumes the link on this node's word
 		// instead of freezing forever — the same degradation as a sticky
 		// persistence error.
 		done.Unsupported = true

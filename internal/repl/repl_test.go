@@ -216,7 +216,7 @@ func TestPublishSequencesBatches(t *testing.T) {
 // VV; a duplicate redelivery does not regress anything.
 func TestInOrderBatchesAdvanceVV(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	b1 := msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1}
@@ -245,7 +245,7 @@ func TestInOrderBatchesAdvanceVV(t *testing.T) {
 // the batches that arrived meanwhile.
 func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -299,7 +299,7 @@ func TestGapFreezesVVAndRequestsCatchUp(t *testing.T) {
 // detected even when idle — on its first heartbeat.
 func TestEpochChangeTriggersCatchUp(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -320,7 +320,7 @@ func TestEpochChangeTriggersCatchUp(t *testing.T) {
 // link (it restarted) must resync when the sender's stream has history.
 func TestFirstContactWithHistoryResyncs(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	be.RaiseVV(1, 250) // recovered floor from the WAL
@@ -346,7 +346,7 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 // round's applied prefix — instead of the frozen VV entry.
 func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -419,7 +419,7 @@ func TestServeCatchUpStreamsAndResumes(t *testing.T) {
 		ver(1, 180, "remote"), // other DC's origin: not ours to ship
 	}}
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true, Source: src,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, Source: src,
 	})
 	be.RaiseVV(0, 300) // local progress; NewManager picked up 0, raise lastTS via publishes instead
 	// Publish one version so lastTS covers the history (the manager's
@@ -481,7 +481,7 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 		vs = append(vs, v)
 	}
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 		Source:           &fakeSource{vs: vs},
 		MaxInFlightBytes: 1, // every chunk must be acked before the next
 	})
@@ -527,40 +527,49 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 }
 
 // TestUnsupportedFallsBackOptimistically: a sender without a durable source
-// answers Unsupported and the receiver resumes on the reply's word alone.
+// (every in-memory link) answers Unsupported and the receiver resumes on the
+// reply's word alone — raising the VV to the resume point and installing,
+// then splicing on, any batch it parked while the round was pending.
 func TestUnsupportedFallsBackOptimistically(t *testing.T) {
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: true,
-	})
-	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
-	out := tr.msgs(src)
-	req := out[0].(msg.CatchUpRequest)
-	m.HandleCatchUpReply(src, msg.CatchUpReply{
-		ReqID: req.ReqID, Done: true, Unsupported: true, ResumeEpoch: 7, ResumeSeq: 3, Through: 300,
-	})
-	if got := be.VVEntry(1); got != 300 {
-		t.Fatalf("VV[1] = %d, want the optimistic fallback advance to 300", got)
-	}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
-	if got := be.VVEntry(1); got != 400 {
-		t.Fatalf("VV[1] = %d, want 400 (link resynced)", got)
-	}
-}
-
-// TestCatchUpDisabledAppliesOptimistically: without the knob, sequenced
-// batches behave exactly like the pre-catch-up protocol.
-func TestCatchUpDisabledAppliesOptimistically(t *testing.T) {
-	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, CatchUp: false,
-	})
-	src := netemu.NodeID{DC: 1, Partition: 0}
-	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 900, "z")}, HBTime: 900, Epoch: 7, Seq: 9})
-	if got := be.VVEntry(1); got != 900 {
-		t.Fatalf("VV[1] = %d, want the optimistic advance to 900", got)
-	}
-	if out := tr.msgs(src); len(out) != 0 {
-		t.Fatalf("outbound = %v, want silence", out)
+	for _, tc := range []struct {
+		name   string
+		parked bool // a fresh batch arrives while the round is pending
+		wantVV vclock.Timestamp
+	}{
+		{name: "raises VV", wantVV: 300},
+		{name: "installs parked batch", parked: true, wantVV: 400},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, tr, be := newTestManager(t, Config{
+				ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+			})
+			src := netemu.NodeID{DC: 1, Partition: 0}
+			m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 300, "c")}, HBTime: 300, Epoch: 7, Seq: 3})
+			out := tr.msgs(src)
+			req := out[0].(msg.CatchUpRequest)
+			next := uint64(4)
+			if tc.parked {
+				m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
+				if n := be.appliedCount(); n != 1 {
+					t.Fatalf("applied %d versions during the round, want the fresh batch parked", n)
+				}
+				next = 5
+			}
+			m.HandleCatchUpReply(src, msg.CatchUpReply{
+				ReqID: req.ReqID, Done: true, Unsupported: true, ResumeEpoch: 7, ResumeSeq: 3, Through: 300,
+			})
+			if got := be.VVEntry(1); got != tc.wantVV {
+				t.Fatalf("VV[1] = %d, want the fallback advance to %d", got, tc.wantVV)
+			}
+			if n, want := be.appliedCount(), int(next-3); n != want {
+				t.Fatalf("applied %d versions after the reply, want %d", n, want)
+			}
+			ts := vclock.Timestamp(next * 100)
+			m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, ts, "e")}, HBTime: ts, Epoch: 7, Seq: next})
+			if got := be.VVEntry(1); got != ts {
+				t.Fatalf("VV[1] = %d, want %d (link resynced)", got, ts)
+			}
+		})
 	}
 }
 
@@ -574,7 +583,7 @@ func TestCatchUpDisabledAppliesOptimistically(t *testing.T) {
 func TestJoinRequestExtendsFanout(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, MaxDCs: 3,
-		CatchUp: true, BatchSize: 1,
+		BatchSize: 1,
 	})
 	joiner := netemu.NodeID{DC: 2, Partition: 0}
 	view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}}
@@ -655,7 +664,7 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 // announced final timestamp, and drops the DC from the fan-out.
 func TestLeaveNoticeRetiresLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, CatchUp: true, BatchSize: 1,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, BatchSize: 1,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -698,7 +707,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 // announcement and the backend signal.
 func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 2, Partition: 0}, NumDCs: 3, CatchUp: true, Joining: true,
+		ID: netemu.NodeID{DC: 2, Partition: 0}, NumDCs: 3, Joining: true,
 		Membership: msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}},
 	})
 	sib0 := netemu.NodeID{DC: 0, Partition: 0}
@@ -768,18 +777,5 @@ func TestJoiningBootstrapAnnouncesActive(t *testing.T) {
 	}
 	if got := be.VVEntry(1); got != 400 {
 		t.Fatalf("VV[1] = %d, want 400 (adopted heartbeat)", got)
-	}
-}
-
-// TestJoiningRequiresCatchUp: the bootstrap IS the catch-up protocol, so a
-// joining manager without it must be refused outright rather than wedge.
-func TestJoiningRequiresCatchUp(t *testing.T) {
-	be := newFakeBackend(2)
-	_, err := NewManager(Config{
-		ID: netemu.NodeID{DC: 1, Partition: 0}, NumDCs: 2, Joining: true,
-		Clock: be.clk, Endpoint: &fakeTransport{}, Backend: be,
-	})
-	if err == nil {
-		t.Fatal("Joining without CatchUp must be rejected")
 	}
 }

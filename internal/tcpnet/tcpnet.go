@@ -2,8 +2,7 @@
 // the engine is transport-agnostic: each node owns a listener, keeps one
 // persistent outbound connection per destination (TCP ordering gives the
 // lossless FIFO channel the system model assumes), and encodes messages
-// with internal/wire — the zero-allocation binary codec by default, with
-// gob available as a compatibility fallback (ListenCodec). Intended for
+// with internal/wire's zero-allocation binary codec. Intended for
 // single-host/loopback deployments and demos; the emulated transport
 // (internal/netemu) remains the tool for latency and partition injection.
 package tcpnet
@@ -23,7 +22,6 @@ import (
 // Node is a TCP-backed core.Transport.
 type Node struct {
 	id       netemu.NodeID
-	codec    wire.Codec
 	listener net.Listener
 	handler  atomic.Pointer[netemu.Handler]
 
@@ -37,23 +35,14 @@ type Node struct {
 	wg   sync.WaitGroup
 }
 
-// Listen binds a node on addr ("127.0.0.1:0" for an ephemeral port) using
-// the default binary wire codec.
+// Listen binds a node on addr ("127.0.0.1:0" for an ephemeral port).
 func Listen(id netemu.NodeID, addr string) (*Node, error) {
-	return ListenCodec(id, addr, wire.Binary)
-}
-
-// ListenCodec binds a node with an explicit wire codec. All nodes of one
-// deployment must use the same codec; wire.Gob is the compatibility
-// fallback for peers running the reflection-based codec.
-func ListenCodec(id netemu.NodeID, addr string, codec wire.Codec) (*Node, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
 	n := &Node{
 		id:       id,
-		codec:    codec,
 		listener: l,
 		peers:    make(map[netemu.NodeID]string),
 		outs:     make(map[netemu.NodeID]*outLink),
@@ -172,7 +161,7 @@ func (n *Node) readLoop(conn net.Conn) {
 		delete(n.ins, conn)
 		n.mu.Unlock()
 	}()
-	dec := n.codec.NewDecoder(conn)
+	dec := wire.NewDecoder(conn)
 	for {
 		env, err := dec.Decode()
 		if err != nil {
@@ -276,7 +265,7 @@ func (l *outLink) run() {
 			}
 			conn = c
 			bw = bufio.NewWriterSize(conn, 64*1024)
-			enc = l.node.codec.NewEncoder(bw)
+			enc = wire.NewEncoder(bw)
 			backoff = time.Millisecond
 		}
 		ok := true
@@ -291,7 +280,7 @@ func (l *outLink) run() {
 		}
 		if !ok {
 			// Connection broke: drop it and retransmit the whole batch on a
-			// fresh connection (neither codec can resume mid-stream). A
+			// fresh connection (the codec cannot resume mid-stream). A
 			// partially-flushed batch means duplicates on the receiver,
 			// which the protocol tolerates: sequenced replication drops
 			// already-seen (epoch, seq) pairs, and a gap triggers catch-up.

@@ -33,8 +33,7 @@ import (
 
 // Message tags.
 const (
-	tagReplicate = iota + 1
-	tagReplicateBatch
+	tagReplicateBatch = iota + 1
 	tagHeartbeat
 	tagSliceReq
 	tagSliceResp
@@ -135,8 +134,6 @@ func (d *BinaryDecoder) Decode() (Envelope, error) {
 func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	var tag byte
 	switch env.Msg.(type) {
-	case msg.Replicate:
-		tag = tagReplicate
 	case msg.ReplicateBatch:
 		tag = tagReplicateBatch
 	case msg.Heartbeat:
@@ -180,8 +177,6 @@ func appendPayload(b []byte, env Envelope) ([]byte, error) {
 	b = appendUint(b, uint64(env.Src.DC))
 	b = appendUint(b, uint64(env.Src.Partition))
 	switch m := env.Msg.(type) {
-	case msg.Replicate:
-		b = appendVersion(b, m.V)
 	case msg.ReplicateBatch:
 		// HBTime leads the payload: it is the delta base for the version
 		// timestamps that follow. A format byte picks between the compact
@@ -460,7 +455,7 @@ func appendVersionDelta(b []byte, v *item.Version, base uint64) []byte {
 }
 
 // AppendVersion appends the codec's encoding of a version record to b — the
-// same bytes a Replicate payload carries on the wire. The write-ahead log
+// same bytes each version of a catch-up chunk carries on the wire. The write-ahead log
 // (internal/wal) reuses it for its durable version records, so a WAL record
 // and a replication message agree byte for byte.
 func AppendVersion(b []byte, v *item.Version) []byte { return appendVersion(b, v) }
@@ -835,8 +830,6 @@ func parsePayload(frame []byte) (Envelope, error) {
 	env.Src.DC = int(f.uint())
 	env.Src.Partition = int(f.uint())
 	switch tag {
-	case tagReplicate:
-		env.Msg = msg.Replicate{V: f.version()}
 	case tagReplicateBatch:
 		var m msg.ReplicateBatch
 		m.HBTime = vclock.Timestamp(f.uint())

@@ -131,8 +131,6 @@ func genSlotMap(r *rand.Rand) *keyspace.SlotMap {
 func genMsg(r *rand.Rand, kind int) any {
 	switch kind % numMsgKinds {
 	case 0:
-		return msg.Replicate{V: genVersion(r)}
-	case 1:
 		m := msg.ReplicateBatch{
 			HBTime:    vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch:     r.Uint64(),
@@ -150,14 +148,14 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 2:
+	case 1:
 		return msg.Heartbeat{
 			Time:  vclock.Timestamp(r.Uint64N(1 << 62)),
 			Epoch: r.Uint64(),
 			Seq:   r.Uint64(),
 			Floor: vclock.Timestamp(r.Uint64N(1 << 62)),
 		}
-	case 3:
+	case 2:
 		m := msg.SliceReq{
 			TxID:        r.Uint64(),
 			Coordinator: netemu.NodeID{DC: r.IntN(8), Partition: r.IntN(8)},
@@ -174,7 +172,7 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 4:
+	case 3:
 		m := msg.SliceResp{TxID: r.Uint64(), Err: genString(r)}
 		switch r.IntN(4) {
 		case 0: // nil Items
@@ -186,14 +184,14 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 5:
+	case 4:
 		return msg.VVExchange{Partition: r.IntN(8), VV: genVC(r),
 			Watermark: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 6:
+	case 5:
 		return msg.GCExchange{Partition: r.IntN(8), TV: genVC(r)}
-	case 7:
+	case 6:
 		return msg.CatchUpRequest{ReqID: r.Uint64(), From: vclock.Timestamp(r.Uint64N(1 << 62)), Have: genVC(r)}
-	case 8:
+	case 7:
 		m := msg.CatchUpReply{
 			ReqID:       r.Uint64(),
 			Chunk:       r.Uint64(),
@@ -217,23 +215,23 @@ func genMsg(r *rand.Rand, kind int) any {
 			}
 		}
 		return m
-	case 9:
+	case 8:
 		return msg.CatchUpAck{ReqID: r.Uint64(), Chunk: r.Uint64()}
-	case 10:
+	case 9:
 		return msg.JoinRequest{DC: r.IntN(8), View: genMembership(r)}
-	case 11:
+	case 10:
 		return msg.JoinAccept{View: genMembership(r), Through: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 12:
+	case 11:
 		return msg.MembershipUpdate{View: genMembership(r)}
-	case 13:
+	case 12:
 		return msg.LeaveNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 14:
+	case 13:
 		return msg.EvictProposal{DC: r.IntN(8), ReqID: r.Uint64(), View: genMembership(r)}
-	case 15:
+	case 14:
 		return msg.EvictAck{DC: r.IntN(8), ReqID: r.Uint64(), Entry: vclock.Timestamp(r.Uint64N(1 << 62))}
-	case 16:
+	case 15:
 		return msg.EvictNotice{DC: r.IntN(8), Final: vclock.Timestamp(r.Uint64N(1 << 62)), View: genMembership(r)}
-	case 17:
+	case 16:
 		return msg.SlotMapUpdate{Map: genSlotMap(r)}
 	default:
 		m := msg.SlotHandoff{}
@@ -253,7 +251,7 @@ func genMsg(r *rand.Rand, kind int) any {
 // numMsgKinds is the number of distinct message types genMsg produces —
 // keep it in sync with the switch above so the property tests cover every
 // wire type.
-const numMsgKinds = 19
+const numMsgKinds = 18
 
 func binaryRoundTrip(t *testing.T, env Envelope) Envelope {
 	t.Helper()
@@ -351,8 +349,8 @@ func TestBinaryRoundTripProperty(t *testing.T) {
 // TestBinaryRoundTripEdgeCases pins the shapes most likely to regress.
 func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	cases := []any{
-		msg.Replicate{V: &item.Version{}},
-		msg.Replicate{V: &item.Version{Deps: vclock.VC{}}},
+		msg.ReplicateBatch{Versions: []*item.Version{{}}},
+		msg.ReplicateBatch{Versions: []*item.Version{{Deps: vclock.VC{}}}},
 		msg.ReplicateBatch{},
 		msg.ReplicateBatch{Versions: []*item.Version{}},
 		msg.ReplicateBatch{Versions: []*item.Version{{Key: "k", Deps: vclock.New(3)}}, HBTime: 9},
@@ -431,10 +429,11 @@ func TestBinaryRoundTripEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBinaryNilVersionInReplicate: a nil version pointer survives the
-// binary codec (gob cannot carry it, so no cross-check).
+// TestBinaryNilVersionInReplicate: a nil version pointer inside a
+// replication batch survives the binary codec (gob cannot carry it, so no
+// cross-check).
 func TestBinaryNilVersionInReplicate(t *testing.T) {
-	env := Envelope{Src: netemu.NodeID{}, Msg: msg.Replicate{}}
+	env := Envelope{Src: netemu.NodeID{}, Msg: msg.ReplicateBatch{Versions: []*item.Version{nil}}}
 	got := binaryRoundTrip(t, env)
 	if !reflect.DeepEqual(env, got) {
 		t.Fatalf("nil version mangled: %#v", got)

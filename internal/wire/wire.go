@@ -8,8 +8,8 @@
 //     with varint-encoded timestamps and reusable scratch buffers — the
 //     zero-allocation encode path of the replication hot loop (see
 //     binary.go).
-//   - Gob: the original reflection-based encoding/gob stream, kept as a
-//     compatibility fallback (selectable via tcpnet.ListenCodec).
+//   - Gob: the original reflection-based encoding/gob stream, kept as the
+//     reference the binary codec is cross-checked and benchmarked against.
 //
 // Both codecs carry the same envelope and message set; a stream uses one
 // codec end to end.
@@ -91,7 +91,6 @@ func NewDecoder(r io.Reader) Decoder { return Binary.NewDecoder(r) }
 // interface field. Called by the Encoder/Decoder constructors; gob.Register
 // is idempotent for identical type/name pairs.
 func registerTypes() {
-	gob.Register(msg.Replicate{})
 	gob.Register(msg.ReplicateBatch{})
 	gob.Register(msg.Heartbeat{})
 	gob.Register(msg.SliceReq{})

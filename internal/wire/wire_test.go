@@ -32,16 +32,16 @@ func roundTrip(t *testing.T, m any) any {
 }
 
 func TestRoundTripReplicate(t *testing.T) {
-	in := msg.Replicate{V: &item.Version{
+	in := msg.ReplicateBatch{Versions: []*item.Version{{
 		Key: "k", Value: []byte("v"), SrcReplica: 2, UpdateTime: 42,
 		Deps: vclock.VC{1, 2, 3}, Optimistic: true,
-	}}
-	out, ok := roundTrip(t, in).(msg.Replicate)
+	}}, HBTime: 42, Epoch: 1, Seq: 1}
+	out, ok := roundTrip(t, in).(msg.ReplicateBatch)
 	if !ok {
 		t.Fatalf("decoded %T", out)
 	}
-	if !reflect.DeepEqual(in.V, out.V) {
-		t.Fatalf("version mangled: %+v vs %+v", in.V, out.V)
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("batch mangled: %+v vs %+v", in, out)
 	}
 }
 

@@ -138,10 +138,6 @@ type Config struct {
 	// slow filesystems, but a machine crash may lose the latest commits (a
 	// process crash usually does not). Ignored without DataDir.
 	NoSync bool
-	// NoFsync is the old name for NoSync; either field enables it.
-	//
-	// Deprecated: set NoSync (the WAL and storage layers' canonical name).
-	NoFsync bool
 	// AckMode picks where on the durability ladder local PUTs are
 	// acknowledged: AckSync (default) returns only after the write's commit
 	// group is fsynced; AckGrouped returns after the in-memory insert and
@@ -155,17 +151,12 @@ type Config struct {
 	// alone already batches whatever accumulates during the previous
 	// fsync). Ignored without DataDir.
 	GroupCommitWindow time.Duration
-	// CatchUp selects the replication catch-up mode. CatchUpAuto (default)
-	// enables sequenced replication streams and WAL-shipped resync exactly
-	// when the deployment is durable (DataDir set): a replica that loses
-	// part of the update stream — a crashed sender's unflushed tail, or a
-	// receiver cut off from the network — detects the gap through per-link
-	// sequence numbers and recovers the missing versions from its sibling's
-	// write-ahead log, with bounded data in flight. CatchUpOn forces it,
-	// CatchUpOff disables it.
-	CatchUp CatchUpMode
 	// CatchUpMaxInFlight bounds the un-acked bytes per catch-up stream
-	// (0 = 1 MiB): the sender's backpressure window.
+	// (0 = 1 MiB): the sender's backpressure window. Every replication
+	// link is sequenced: a replica that loses part of the update stream — a
+	// crashed sender's unflushed tail, or a receiver cut off from the
+	// network — detects the gap and, on a durable deployment, recovers the
+	// missing versions from its sibling's write-ahead log.
 	CatchUpMaxInFlight int
 	// MaxDataCenters reserves capacity for data centers joining at runtime
 	// (AddDataCenter): every server's causal metadata vectors are sized to
@@ -203,20 +194,6 @@ const (
 	AckGrouped
 )
 
-// CatchUpMode selects the replication catch-up behavior (Config.CatchUp).
-type CatchUpMode int
-
-// Catch-up modes.
-const (
-	// CatchUpAuto enables catch-up exactly when the deployment is durable.
-	CatchUpAuto CatchUpMode = iota
-	// CatchUpOn forces catch-up on.
-	CatchUpOn
-	// CatchUpOff disables catch-up: a crashed server's unflushed
-	// replication tail is silently lost (the pre-catch-up semantics).
-	CatchUpOff
-)
-
 // Store is a running geo-replicated deployment.
 type Store struct {
 	inner  *cluster.Cluster
@@ -243,13 +220,6 @@ func Open(cfg Config) (*Store, error) {
 			return profile(src.DC, dst.DC)
 		}
 	}
-	var catchUp cluster.CatchUpMode
-	switch cfg.CatchUp {
-	case CatchUpOn:
-		catchUp = cluster.CatchUpOn
-	case CatchUpOff:
-		catchUp = cluster.CatchUpOff
-	}
 	ackMode := storage.AckSync
 	if cfg.AckMode == AckGrouped {
 		ackMode = storage.AckGrouped
@@ -274,11 +244,10 @@ func Open(cfg Config) (*Store, error) {
 		Durable: storage.DurableOptions{
 			CheckpointBytes: cfg.CheckpointBytes,
 			SegmentBytes:    cfg.SegmentBytes,
-			NoSync:          cfg.NoSync || cfg.NoFsync,
+			NoSync:          cfg.NoSync,
 			AckMode:         ackMode,
 			GroupWindow:     cfg.GroupCommitWindow,
 		},
-		CatchUp:            catchUp,
 		CatchUpMaxInFlight: cfg.CatchUpMaxInFlight,
 		MaxDCs:             cfg.MaxDataCenters,
 		MaxPartitions:      cfg.MaxPartitions,
@@ -443,8 +412,7 @@ func (s *Store) Messages() uint64 { return s.inner.Messages() }
 // RestartServer simulates a partition-server crash and recovery: the server
 // is killed and a fresh one reopens the same durable data directory,
 // rebuilding its version chains and version-vector floor from the snapshot
-// and log tail. With catch-up enabled (the default for durable
-// deployments), the kill is a true crash — the unflushed replication tail
+// and log tail. The kill is a true crash — the unflushed replication tail
 // is discarded and messages arriving while the server is down are dropped —
 // and the replicas resynchronize afterwards by WAL-shipped catch-up.
 // In-flight operations against the restarting server fail with ErrStopped
@@ -499,7 +467,9 @@ type Stats struct {
 	// CatchUps counts completed inbound catch-up rounds (a replica detected
 	// a gap in a replication stream and resynchronized from its sibling's
 	// WAL); CatchUpsServed counts the streams shipped to lagging siblings.
-	// Both stay zero unless catch-up is enabled (Config.CatchUp).
+	// In memory (no DataDir) there is no log to ship from: a round completes
+	// on the sender's Unsupported answer, so CatchUps can move while
+	// CatchUpsServed stays zero.
 	CatchUps       uint64
 	CatchUpsServed uint64
 	// CatchUpsActive is the number of replication links currently frozen
