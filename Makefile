@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all fmt vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
+.PHONY: all fmt vet build test perfbench-check race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos check bench
 
 all: check
 
@@ -18,6 +18,12 @@ build:
 # the suites free of inter-test ordering dependencies.
 test:
 	$(GO) test -shuffle=on ./...
+
+# perfbench is its own module (replace repro => ../), so the root ./...
+# never compiles it: vet and test it separately, catching a library API
+# change that breaks the benchmark deployment before the benchmark runs.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Guards the fine-grained server locking: the packages that own or exercise
 # the lock-free hot path must stay race-clean.
@@ -66,7 +72,7 @@ race-hlc:
 race-chaos:
 	CHAOS_SECONDS=$${CHAOS_SECONDS:-30} $(GO) test -race -count=1 -v -run 'TestChaosSoak' ./internal/chaos/
 
-check: fmt vet build test race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
+check: fmt vet build test perfbench-check race race-recovery race-catchup race-membership race-reshard race-frontdoor race-hlc race-chaos
 
 # Hot-path microbenchmarks (the numbers tracked across PRs), published as a
 # dated JSON trajectory: `make bench` runs the Fig-adjacent cluster

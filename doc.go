@@ -14,13 +14,16 @@
 // local write path, stabilization, garbage collection and transaction
 // coordination — an optimistic read is a wait-free vector check plus an
 // O(1) chain-head lookup, exactly the cheap path the paper argues for.
-// Outgoing replication is batched per destination data center and flushed
-// on the heartbeat tick Δ (or a size threshold), with the receive side
-// applying each batch in a single pass over the storage shards. Deployments
-// that cross a real network (internal/tcpnet) frame messages with a
-// hand-rolled length-prefixed binary codec whose encode path performs zero
-// allocations; the reflection-based gob codec remains available as a
-// compatibility fallback. Three engines are provided:
+// Outgoing replication is buffered per partition server and flushed to
+// every sibling data center on the heartbeat tick Δ, inline once 128
+// updates are buffered, and early — every Δ/4 — once 32 are, so remote
+// visibility improves under load without fragmenting light traffic. The
+// receive side applies each batch in a single pass over the storage shards.
+// Deployments that cross a real network (internal/tcpnet) frame messages
+// with a hand-rolled length-prefixed binary codec whose encode path
+// performs zero allocations; the reflection-based gob codec is kept only as
+// the reference the codec's round-trip tests and benchmarks compare
+// against. Three engines are provided:
 //
 //   - POCC — the paper's system: reads return the freshest received version;
 //     requests with unresolved dependencies block until the dependency

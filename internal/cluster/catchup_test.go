@@ -13,22 +13,25 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestCatchUpAfterCrashLostBufferTail is the deterministic buffer-tail-loss
-// scenario: with timed flushing effectively disabled, every write sits in
-// the origin server's replication buffer, so crashing that server (crash
-// restarts discard the buffer — no graceful flush) guarantees the sibling
-// DC never received any of them. The restarted incarnation's WAL still
-// holds the versions, and the sibling must detect the new epoch and recover
-// every acknowledged write via WAL-shipped catch-up.
+// TestCatchUpAfterCrashLostBufferTail is the deterministic stream-tail-loss
+// scenario: the sibling DC's inbound replication plane is severed while
+// the origin takes writes, then the origin servers crash (crash restarts
+// discard the outbound buffer — no graceful flush). The sibling never
+// received any of the writes; to it the old incarnation simply went silent.
+// The restarted incarnation's WAL still holds the versions, and once the
+// link heals the sibling must detect the new epoch and recover every
+// acknowledged write via WAL-shipped catch-up.
 func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
-	c := newCluster(t, Config{
-		NumDCs: 2, NumPartitions: 2, Engine: POCC,
-		HeartbeatInterval:        time.Millisecond,
-		ReplicationFlushInterval: time.Hour, // buffer never flushes on time
-		PutDepWait:               true,
-		DataDir:                  t.TempDir(),
-		Seed:                     909,
-	})
+	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 2},
+		WithHeartbeat(time.Millisecond),
+		WithDataDir(t.TempDir()),
+		WithSeed(909),
+		WithConfig(func(cfg *Config) { cfg.PutDepWait = true }))
+	for p := 0; p < 2; p++ {
+		if err := c.DropInboundReplication(1, p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)
@@ -42,9 +45,8 @@ func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 		}
 		want[key] = val
 	}
-	// Nothing may have replicated: the buffers are sitting on their tails.
-	// (Heartbeats are suppressed while updates are buffered, so DC1's VV for
-	// DC0 cannot have covered these writes either.)
+	// Nothing may have replicated: DC1 dropped every batch and heartbeat.
+	// (So DC1's VV for DC0 cannot have covered these writes either.)
 	for key := range want {
 		reply, err := c.ReadAt(1, key)
 		if err != nil {
@@ -55,9 +57,15 @@ func TestCatchUpAfterCrashLostBufferTail(t *testing.T) {
 		}
 	}
 
-	// Crash both DC0 servers: their buffered tails are gone for good.
+	// Crash both DC0 servers: the old incarnations' streams are gone for
+	// good. Then heal DC1's inbound plane.
 	for p := 0; p < 2; p++ {
 		if err := c.RestartServer(0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := 0; p < 2; p++ {
+		if err := c.DropInboundReplication(1, p, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -104,16 +112,13 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 		sessions   = 2
 		tailOps    = 300 // operations the sessions run after the heal
 	)
-	c := newCluster(t, Config{
-		NumDCs: dcs, NumPartitions: partitions, Engine: POCC,
-		HeartbeatInterval: time.Millisecond,
-		GCInterval:        20 * time.Millisecond,
-		Latency:           UniformLatency(50*time.Microsecond, 2*time.Millisecond),
-		JitterFrac:        0.3,
-		PutDepWait:        true,
-		DataDir:           t.TempDir(),
-		Seed:              1010,
-	})
+	c := NewTestCluster(t, Topology{DCs: dcs, Partitions: partitions},
+		WithHeartbeat(time.Millisecond),
+		WithGC(20*time.Millisecond),
+		WithLatency(UniformLatency(50*time.Microsecond, 2*time.Millisecond), 0.3),
+		WithDataDir(t.TempDir()),
+		WithSeed(1010),
+		WithConfig(func(cfg *Config) { cfg.PutDepWait = true }))
 	tbl := keyspace.Build(partitions, keys)
 	c.SeedTable(tbl)
 	reg := causaltest.NewRegistry()
@@ -238,11 +243,9 @@ func TestCatchUpAfterDroppedLink(t *testing.T) {
 // TestCatchUpCountersExposed pins that a quiet durable cluster reports a
 // healthy replication plane: no active rounds, bounded lag.
 func TestCatchUpCountersExposed(t *testing.T) {
-	c := newCluster(t, Config{
-		NumDCs: 2, NumPartitions: 1, Engine: POCC,
-		HeartbeatInterval: time.Millisecond,
-		DataDir:           t.TempDir(),
-	})
+	c := NewTestCluster(t, Topology{DCs: 2, Partitions: 1},
+		WithHeartbeat(time.Millisecond),
+		WithDataDir(t.TempDir()))
 	sess, err := c.NewSession(0)
 	if err != nil {
 		t.Fatal(err)

@@ -71,12 +71,6 @@ type Config struct {
 	GCInterval time.Duration
 	// PutDepWait enables Algorithm 2 line 6 (the evaluation enables it).
 	PutDepWait bool
-	// ReplicationBatchSize caps the per-DC replication buffer before an
-	// inline flush (0 = core default, 1 = unbatched).
-	ReplicationBatchSize int
-	// ReplicationFlushInterval is the replication buffer flush cadence
-	// (0 defaults to the heartbeat interval Δ; negative disables batching).
-	ReplicationFlushInterval time.Duration
 	// BlockTimeout enables HA-POCC partition suspicion (HAPOCC only).
 	BlockTimeout time.Duration
 	// ClockSkew bounds the per-node clock offset: each node's skew is drawn
@@ -114,9 +108,6 @@ type Config struct {
 	// trigger, segment size and fsync policy (storage.DurableOptions).
 	// Ignored without DataDir.
 	Durable storage.DurableOptions
-	// CatchUpMaxInFlight bounds the un-acked bytes per outbound catch-up
-	// stream (0 = 1 MiB): the sender's backpressure window.
-	CatchUpMaxInFlight int
 	// MaxDCs reserves capacity for data centers joining at runtime (AddDC):
 	// every server's version vector is sized to it up front, because the
 	// lock-free hot path cannot repoint vectors. 0 means NumDCs — fixed
@@ -462,31 +453,28 @@ func (c *Cluster) serverConfigLocked(dc, p int, joining bool) core.Config {
 		}
 	}
 	return core.Config{
-		ID:                       netemu.NodeID{DC: dc, Partition: p},
-		NumDCs:                   numDCs,
-		NumPartitions:            numParts,
-		MaxPartitions:            c.maxParts,
-		SlotMap:                  slots,
-		Clock:                    c.newClock(dc, p),
-		Endpoint:                 c.transports[dc][p],
-		DefaultMode:              mode,
-		HeartbeatInterval:        c.cfg.HeartbeatInterval,
-		StabilizationInterval:    stab,
-		LeanStabilization:        c.cfg.LeanStabilization,
-		GCInterval:               c.cfg.GCInterval,
-		PutDepWait:               c.cfg.PutDepWait,
-		BlockTimeout:             blockTimeout,
-		ReplicationBatchSize:     c.cfg.ReplicationBatchSize,
-		ReplicationFlushInterval: c.cfg.ReplicationFlushInterval,
-		DataDir:                  dataDir,
-		DurableOptions:           c.cfg.Durable,
-		CatchUpMaxInFlight:       c.cfg.CatchUpMaxInFlight,
-		MaxDCs:                   c.maxDCs,
-		Joining:                  joining,
-		JoinTimeout:              c.cfg.JoinTimeout,
-		GCMaxHoldback:            c.cfg.GCMaxHoldback,
-		Membership:               view,
-		Metrics:                  c.mx[dc][p],
+		ID:                    netemu.NodeID{DC: dc, Partition: p},
+		NumDCs:                numDCs,
+		NumPartitions:         numParts,
+		MaxPartitions:         c.maxParts,
+		SlotMap:               slots,
+		Clock:                 c.newClock(dc, p),
+		Endpoint:              c.transports[dc][p],
+		DefaultMode:           mode,
+		HeartbeatInterval:     c.cfg.HeartbeatInterval,
+		StabilizationInterval: stab,
+		LeanStabilization:     c.cfg.LeanStabilization,
+		GCInterval:            c.cfg.GCInterval,
+		PutDepWait:            c.cfg.PutDepWait,
+		BlockTimeout:          blockTimeout,
+		DataDir:               dataDir,
+		DurableOptions:        c.cfg.Durable,
+		MaxDCs:                c.maxDCs,
+		Joining:               joining,
+		JoinTimeout:           c.cfg.JoinTimeout,
+		GCMaxHoldback:         c.cfg.GCMaxHoldback,
+		Membership:            view,
+		Metrics:               c.mx[dc][p],
 	}
 }
 

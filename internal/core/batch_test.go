@@ -10,36 +10,41 @@ import (
 	"repro/internal/vclock"
 )
 
-// TestReplicationBatchFlushOnSize: once ReplicationBatchSize updates are
-// buffered, a batch goes out immediately — no heartbeat tick needed.
+// replicatedVersions counts the versions carried by the ReplicateBatch
+// messages among msgs.
+func replicatedVersions(msgs []any) int {
+	total := 0
+	for _, m := range msgs {
+		if b, ok := m.(msg.ReplicateBatch); ok {
+			total += len(b.Versions)
+		}
+	}
+	return total
+}
+
+// TestReplicationBatchFlushOnSize: once a full batch (128 updates) is
+// buffered it goes out inline — no heartbeat tick needed — in timestamp
+// order, with gap-free sequence numbers across batches.
 func TestReplicationBatchFlushOnSize(t *testing.T) {
-	r := newRig(t, Config{
-		HeartbeatInterval:    time.Hour, // timed flush effectively disabled
-		ReplicationBatchSize: 4,
-	})
-	for i := 0; i < 8; i++ {
+	const batch = 128
+	r := newRig(t, Config{HeartbeatInterval: time.Hour}) // timed flush effectively disabled
+	for i := 0; i < 2*batch; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
 			t.Fatal(err)
 		}
 	}
 	id := netemu.NodeID{DC: 1, Partition: 0}
-	if !waitUntil(t, time.Second, func() bool {
-		total := 0
-		for _, m := range r.received(id) {
-			if b, ok := m.(msg.ReplicateBatch); ok {
-				total += len(b.Versions)
-			}
-		}
-		return total == 8
-	}) {
-		t.Fatalf("sibling received %v, want 8 versions in batches", r.received(id))
+	if !waitUntil(t, time.Second, func() bool { return replicatedVersions(r.received(id)) == 2*batch }) {
+		t.Fatalf("sibling received %d versions, want %d in batches", replicatedVersions(r.received(id)), 2*batch)
 	}
-	// Versions inside each batch must be in update-timestamp order.
 	var prev vclock.Timestamp
-	for _, m := range r.received(id) {
+	for i, m := range r.received(id) {
 		b, ok := m.(msg.ReplicateBatch)
 		if !ok {
 			t.Fatalf("unexpected message %T", m)
+		}
+		if len(b.Versions) != batch || b.Seq != uint64(i+1) {
+			t.Fatalf("message %d: seq %d with %d versions, want seq %d with %d", i, b.Seq, len(b.Versions), i+1, batch)
 		}
 		for _, v := range b.Versions {
 			if v.UpdateTime <= prev {
@@ -64,32 +69,8 @@ func TestReplicationBatchFlushOnHeartbeatTick(t *testing.T) {
 		}
 	}
 	id := netemu.NodeID{DC: 2, Partition: 0}
-	if !waitUntil(t, time.Second, func() bool {
-		total := 0
-		for _, m := range r.received(id) {
-			if b, ok := m.(msg.ReplicateBatch); ok {
-				total += len(b.Versions)
-			}
-		}
-		return total == 3
-	}) {
+	if !waitUntil(t, time.Second, func() bool { return replicatedVersions(r.received(id)) == 3 }) {
 		t.Fatal("buffered updates never flushed on the heartbeat tick")
-	}
-}
-
-// TestReplicationFlushIntervalKnob: a flush cadence faster than the
-// heartbeat drains the buffer without waiting for Δ.
-func TestReplicationFlushIntervalKnob(t *testing.T) {
-	r := newRig(t, Config{
-		HeartbeatInterval:        time.Hour,
-		ReplicationFlushInterval: time.Millisecond,
-	})
-	if _, err := r.srv.Put("k0", []byte("v"), vclock.New(3), Optimistic); err != nil {
-		t.Fatal(err)
-	}
-	id := netemu.NodeID{DC: 1, Partition: 0}
-	if !waitUntil(t, time.Second, func() bool { return len(r.received(id)) >= 1 }) {
-		t.Fatal("dedicated flush loop never drained the buffer")
 	}
 }
 

@@ -125,7 +125,8 @@ type Config struct {
 	// for POCC and HA-POCC, Pessimistic for Cure*. Individual requests carry
 	// their session's mode, enabling HA-POCC's mixed operation.
 	DefaultMode Mode
-	// HeartbeatInterval is Δ of Algorithm 2 (1 ms in the evaluation).
+	// HeartbeatInterval is Δ of Algorithm 2 (1 ms in the evaluation): the
+	// heartbeat and replication flush cadence; must be positive.
 	HeartbeatInterval time.Duration
 	// StabilizationInterval is the GSS exchange period: 5 ms for Cure*,
 	// infrequent (e.g. 500 ms) for HA-POCC, 0 to disable (pure POCC).
@@ -146,19 +147,6 @@ type Config struct {
 	// requests blocked longer than this return ErrSessionClosed. 0 waits
 	// forever (the paper's POCC, evaluated without partitions).
 	BlockTimeout time.Duration
-	// ReplicationBatchSize caps how many outgoing updates may accumulate in
-	// the per-DC replication buffer before an inline flush. 0 selects the
-	// default (128); 1 flushes after every PUT (no batching, as the original
-	// one-message-per-update protocol).
-	ReplicationBatchSize int
-	// ReplicationFlushInterval is the periodic flush cadence of the
-	// replication buffer. 0 defaults to HeartbeatInterval, preserving the
-	// paper's Δ semantics: a buffered update is delayed at most one
-	// heartbeat period. A negative value disables timed batching entirely
-	// (every PUT flushes inline). An interval above Δ trades remote
-	// freshness for batch size; heartbeats are suppressed while updates
-	// are buffered so they never overtake the batch.
-	ReplicationFlushInterval time.Duration
 	// Engine is the storage engine backing this server. Nil selects a
 	// default: a fresh in-memory engine (storage.New), or — when DataDir is
 	// set — a durable WAL-backed engine opened (and crash-recovered) from
@@ -174,9 +162,6 @@ type Config struct {
 	// (checkpoint trigger, segment size, fsync policy). Ignored when Engine
 	// is provided or DataDir is empty.
 	DurableOptions storage.DurableOptions
-	// CatchUpMaxInFlight bounds the un-acked catch-up bytes per outbound
-	// stream (0 = default 1 MiB).
-	CatchUpMaxInFlight int
 	// MaxDCs caps the data-center ids this server can ever track: the
 	// version-vector and GSS capacity, reserved up front because the hot
 	// path reads those vectors lock-free and cannot repoint them. 0 means
@@ -244,12 +229,6 @@ func (c *Config) validate() error {
 	}
 	if c.DefaultMode == Pessimistic && c.StabilizationInterval <= 0 {
 		return errors.New("core: pessimistic mode requires a stabilization interval")
-	}
-	if c.ReplicationBatchSize < 0 {
-		return errors.New("core: ReplicationBatchSize must be >= 0")
-	}
-	if c.CatchUpMaxInFlight < 0 {
-		return errors.New("core: CatchUpMaxInFlight must be >= 0")
 	}
 	if c.MaxDCs != 0 && c.MaxDCs < c.NumDCs {
 		return fmt.Errorf("core: MaxDCs %d below NumDCs %d", c.MaxDCs, c.NumDCs)
@@ -591,10 +570,7 @@ func NewServer(cfg Config) (*Server, error) {
 		Endpoint:          cfg.Endpoint,
 		Backend:           (*replBackend)(s),
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		BatchSize:         cfg.ReplicationBatchSize,
-		FlushInterval:     cfg.ReplicationFlushInterval,
 		Source:            src,
-		MaxInFlightBytes:  cfg.CatchUpMaxInFlight,
 		MaxDCs:            cfg.MaxDCs,
 		Joining:           cfg.Joining,
 		JoinTimeout:       cfg.JoinTimeout,

@@ -50,6 +50,9 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.DefaultMode == 0 {
 		cfg.DefaultMode = Optimistic
 	}
+	if cfg.HeartbeatInterval == 0 {
+		cfg.HeartbeatInterval = time.Hour // no timed flush or heartbeat unless a test asks
+	}
 	cfg.ID = netemu.NodeID{DC: 0, Partition: 0}
 	cfg.Endpoint = r.net.Register(cfg.ID, nil)
 	// Fake peers: same partition in other DCs, other partitions in DC 0.
@@ -180,12 +183,11 @@ func TestPutTimestampExceedsDependencies(t *testing.T) {
 	}
 }
 
+// TestPutReplicatesToSiblingsInOrder: every sibling receives the PUTs as a
+// gap-free sequenced stream of batches, in update-timestamp order.
 func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
-	// BatchSize 1 disables batching: every PUT flushes inline as a
-	// single-version sequenced batch (the original one-message-per-update
-	// protocol, now with the link's gap-free sequence numbers).
-	r := newRig(t, Config{HeartbeatInterval: time.Hour, ReplicationBatchSize: 1})
-	const puts = 20
+	r := newRig(t, Config{HeartbeatInterval: time.Hour})
+	const puts = 256 // two full batches: each flushes inline
 	for i := 0; i < puts; i++ {
 		if _, err := r.srv.Put("k0", []byte{byte(i)}, vclock.New(3), Optimistic); err != nil {
 			t.Fatal(err)
@@ -193,8 +195,8 @@ func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 	}
 	for dc := 1; dc < 3; dc++ {
 		id := netemu.NodeID{DC: dc, Partition: 0}
-		if !waitUntil(t, time.Second, func() bool { return len(r.received(id)) >= puts }) {
-			t.Fatalf("dc%d received %d replication messages, want %d", dc, len(r.received(id)), puts)
+		if !waitUntil(t, time.Second, func() bool { return replicatedVersions(r.received(id)) >= puts }) {
+			t.Fatalf("dc%d received %d replicated versions, want %d", dc, replicatedVersions(r.received(id)), puts)
 		}
 		var prev vclock.Timestamp
 		var prevSeq uint64
@@ -203,13 +205,12 @@ func TestPutReplicatesToSiblingsInOrder(t *testing.T) {
 			if !ok {
 				t.Fatalf("message %d is %T, want ReplicateBatch", i, m)
 			}
-			if len(rep.Versions) != 1 {
-				t.Fatalf("message %d carries %d versions, want 1 (unbatched)", i, len(rep.Versions))
+			for _, v := range rep.Versions {
+				if v.UpdateTime <= prev {
+					t.Fatal("replication not in timestamp order")
+				}
+				prev = v.UpdateTime
 			}
-			if rep.Versions[0].UpdateTime <= prev {
-				t.Fatal("replication not in timestamp order")
-			}
-			prev = rep.Versions[0].UpdateTime
 			if rep.Epoch == 0 || rep.Seq != prevSeq+1 {
 				t.Fatalf("message %d carries (epoch %d, seq %d) after seq %d; want a gap-free sequenced stream",
 					i, rep.Epoch, rep.Seq, prevSeq)

@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	occ "repro"
@@ -186,14 +185,7 @@ func frontDoorBinary(ctx context.Context, addr string, value []byte, dur time.Du
 }
 
 func frontDoorRow(mode string, conns, sessions, window int, lats []time.Duration, dur time.Duration) []string {
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	pct := func(p float64) time.Duration {
-		if len(lats) == 0 {
-			return 0
-		}
-		i := int(p * float64(len(lats)-1))
-		return lats[i]
-	}
+	p50, p99 := percentiles(lats)
 	return []string{
 		mode,
 		fmt.Sprintf("%d", conns),
@@ -201,7 +193,7 @@ func frontDoorRow(mode string, conns, sessions, window int, lats []time.Duration
 		fmt.Sprintf("%d", window),
 		fmt.Sprintf("%d", len(lats)),
 		fmt.Sprintf("%.1f", float64(len(lats))/dur.Seconds()/1000),
-		fmt.Sprintf("%.1f", float64(pct(0.50))/float64(time.Microsecond)),
-		fmt.Sprintf("%.1f", float64(pct(0.99))/float64(time.Microsecond)),
+		fmt.Sprintf("%.1f", float64(p50)/float64(time.Microsecond)),
+		fmt.Sprintf("%.1f", float64(p99)/float64(time.Microsecond)),
 	}
 }

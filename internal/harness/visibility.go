@@ -248,7 +248,8 @@ func VisibilityPoint(ctx context.Context, sc Scale, o VisibilityOpts) (Visibilit
 	return st, nil
 }
 
-// percentiles returns the p50 and p99 of ds (ds is sorted in place).
+// percentiles returns the p50 and p99 of ds (ds is sorted in place): the
+// harness's one percentile rule, element n·p/100 of the sorted sample.
 func percentiles(ds []time.Duration) (p50, p99 time.Duration) {
 	if len(ds) == 0 {
 		return 0, 0

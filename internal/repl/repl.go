@@ -3,6 +3,13 @@
 // and the inbound bookkeeping that decides when a received update stream is
 // trustworthy enough to advance the version vector.
 //
+// # Outbound cadence
+//
+// Publish buffers each local update; the buffer goes out as one batch to
+// every sibling DC inline once it holds 128 updates, on every heartbeat
+// tick Δ (Config.HeartbeatInterval; an idle tick sends a heartbeat
+// instead), and early on a Δ/4 tick once it holds 32.
+//
 // # Sequenced streams
 //
 // Every flushed batch (msg.ReplicateBatch) carries the sender's incarnation
@@ -20,8 +27,8 @@
 // through which its prefix is complete (its VV entry for that DC). The
 // sender streams every version it originated after that point straight out
 // of its durable log (storage.CatchUpSource over the internal/wal cursor) in
-// acknowledged chunks, never holding more than Config.MaxInFlightBytes of
-// un-acked data on the wire — backpressure instead of unbounded buffers.
+// acknowledged chunks, never holding more than 1 MiB of un-acked data on
+// the wire — backpressure instead of unbounded buffers.
 // The final chunk carries the resume point (epoch, sequence, timestamp): on
 // receipt the receiver raises its VV through the streamed history, splices
 // the batches that arrived during the round back onto the sequence, and
@@ -208,9 +215,10 @@ type CompactedSource interface {
 	CompactedFloor() vclock.VC
 }
 
-// Tuning defaults.
+// Tuning constants.
 const (
-	defaultBatchSize      = 128
+	defaultBatchSize      = 128 // buffered updates that force an inline flush
+	earlyFlushThreshold   = defaultBatchSize / 4
 	defaultMaxInFlight    = 1 << 20 // catch-up bytes on the wire, un-acked
 	catchUpChunkBytes     = 64 << 10
 	minReRequestInterval  = 100 * time.Millisecond
@@ -242,21 +250,12 @@ type Config struct {
 	Endpoint Transport
 	// Backend is the owning partition server.
 	Backend Backend
-	// HeartbeatInterval is Δ: the idle-heartbeat cadence and the default
-	// flush cadence.
+	// HeartbeatInterval is Δ: the idle-heartbeat and flush cadence; must be
+	// positive.
 	HeartbeatInterval time.Duration
-	// BatchSize caps the outbound buffer before an inline flush
-	// (0 = default 128, 1 = flush on every update).
-	BatchSize int
-	// FlushInterval is the timed flush cadence (0 = HeartbeatInterval,
-	// negative = flush inline on every update).
-	FlushInterval time.Duration
 	// Source serves outbound catch-up streams; nil answers requests with
 	// Unsupported.
 	Source Source
-	// MaxInFlightBytes bounds the un-acked catch-up data per stream
-	// (0 = default 1 MiB).
-	MaxInFlightBytes int
 	// MaxDCs caps the DC ids this node can ever track — the capacity of the
 	// membership view and the inbound link table. 0 means NumDCs: fixed
 	// membership, no joins possible.
@@ -444,12 +443,9 @@ type Manager struct {
 	holdbacks map[int]*holdback
 	joinSeen  map[int]time.Time
 
-	fanout        bool // MaxDCs > 1: there may be someone to replicate to
-	batchSize     int
-	syncFlush     bool
-	hbDrivesFlush bool
-	maxInFlight   int
-	reRequest     time.Duration
+	fanout      bool // MaxDCs > 1: there may be someone to replicate to
+	maxInFlight int  // un-acked catch-up bytes per outbound stream
+	reRequest   time.Duration
 
 	// floor is the incarnation's starting history floor: every version this
 	// node originated before this incarnation has a timestamp ≤ floor (the
@@ -495,8 +491,8 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.NumDCs < 1 {
 		return nil, fmt.Errorf("repl: invalid NumDCs %d", cfg.NumDCs)
 	}
-	if cfg.BatchSize < 0 || cfg.MaxInFlightBytes < 0 {
-		return nil, errors.New("repl: BatchSize and MaxInFlightBytes must be >= 0")
+	if cfg.HeartbeatInterval <= 0 {
+		return nil, fmt.Errorf("repl: HeartbeatInterval must be positive, got %v", cfg.HeartbeatInterval)
 	}
 	maxDCs := cfg.MaxDCs
 	if maxDCs == 0 {
@@ -522,8 +518,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		be:          cfg.Backend,
 		epoch:       uint64(cfg.Clock.Now()), // monotone across in-process restarts
 		fanout:      maxDCs > 1,
-		batchSize:   cfg.BatchSize,
-		maxInFlight: cfg.MaxInFlightBytes,
+		maxInFlight: defaultMaxInFlight,
 		serving:     make(map[int]*catchUpServe),
 		holdbacks:   make(map[int]*holdback),
 		joinSeen:    make(map[int]time.Time),
@@ -554,18 +549,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	r.view = msg.Membership{Epoch: cfg.Membership.Epoch, Status: status, Final: final}
 	r.rebuildTargetsLocked()
-	if r.batchSize == 0 {
-		r.batchSize = defaultBatchSize
-	}
-	if r.maxInFlight == 0 {
-		r.maxInFlight = defaultMaxInFlight
-	}
-	flushInterval := cfg.FlushInterval
-	if flushInterval == 0 {
-		flushInterval = cfg.HeartbeatInterval
-	}
-	r.syncFlush = r.batchSize == 1 || flushInterval <= 0
-	r.hbDrivesFlush = !r.syncFlush && flushInterval == cfg.HeartbeatInterval
 	r.reRequest = reRequestPerHeartbeat * cfg.HeartbeatInterval
 	if r.reRequest < minReRequestInterval {
 		r.reRequest = minReRequestInterval
@@ -595,17 +578,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		// DC of a deployment): complete immediately.
 		r.maybeFinishJoin()
 	}
-	if cfg.HeartbeatInterval > 0 && r.fanout {
-		r.wg.Add(1)
+	if r.fanout {
+		r.wg.Add(2)
 		go r.heartbeatLoop()
-	}
-	if !r.syncFlush && r.fanout && !r.hbDrivesFlush {
-		r.wg.Add(1)
-		go r.flushLoop(flushInterval)
-	}
-	if !r.syncFlush && r.fanout && flushInterval/4 > 0 {
-		r.wg.Add(1)
-		go r.adaptiveFlushLoop(flushInterval)
+		go r.adaptiveFlushLoop()
 	}
 	return r, nil
 }
@@ -1253,7 +1229,7 @@ func (r *Manager) Locked(fn func()) {
 
 // Publish runs the local write path: under the outbound lock it lets the
 // backend assign v its timestamp and install it, then enqueues v for
-// replication, flushing inline when the batch is full (or unbatched). It
+// replication, flushing inline when the batch is full. It
 // returns ErrRetired when the DC has left the deployment, and surfaces the
 // backend's refusal (stopped, or the key's slot moved away) verbatim.
 func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
@@ -1269,7 +1245,7 @@ func (r *Manager) Publish(v *item.Version) (vclock.Timestamp, error) {
 	}
 	if r.fanout {
 		r.buf = append(r.buf, v)
-		if r.syncFlush || len(r.buf) >= r.batchSize {
+		if len(r.buf) >= defaultBatchSize {
 			r.flushLocked()
 		}
 	}
@@ -1301,11 +1277,11 @@ func (r *Manager) flushLocked() {
 	}
 }
 
-// heartbeatLoop flushes the buffer every Δ (when Δ is the flush cadence) and
-// broadcasts the local clock when no update has advanced the local
-// version-vector entry for a heartbeat interval (Algorithm 2, lines 19-26).
-// Heartbeats are suppressed while updates sit in the buffer, so they never
-// overtake buffered versions with smaller timestamps.
+// heartbeatLoop flushes the buffer every Δ and then broadcasts the local
+// clock when no update has advanced the local version-vector entry for a
+// heartbeat interval (Algorithm 2, lines 19-26). The flush comes first, under
+// the same lock, so a heartbeat never overtakes a buffered version with a
+// smaller timestamp.
 func (r *Manager) heartbeatLoop() {
 	defer r.wg.Done()
 	t := time.NewTicker(r.cfg.HeartbeatInterval)
@@ -1317,12 +1293,9 @@ func (r *Manager) heartbeatLoop() {
 		case <-t.C:
 		}
 		r.mu.Lock()
-		if r.hbDrivesFlush {
-			r.flushLocked()
-		}
+		r.flushLocked()
 		ct := r.clk.Now()
-		idle := len(r.buf) == 0 &&
-			ct >= r.be.VVEntry(r.m)+vclock.Timestamp(r.cfg.HeartbeatInterval)
+		idle := ct >= r.be.VVEntry(r.m)+vclock.Timestamp(r.cfg.HeartbeatInterval)
 		if idle {
 			if ct > r.lastTS {
 				r.lastTS = ct
@@ -1369,11 +1342,17 @@ func (r *Manager) heartbeatLoop() {
 	}
 }
 
-// flushLoop drains the buffer on a cadence distinct from the heartbeat
-// interval (FlushInterval ≠ Δ).
-func (r *Manager) flushLoop(interval time.Duration) {
+// adaptiveFlushLoop is the load-sensitive half of the flush cadence: every
+// Δ/4 it flushes a buffer that already holds a quarter of the batch cap.
+// Under load this shrinks the effective Δ (remote visibility improves)
+// without touching the idle cadence — it only ever flushes earlier than the
+// heartbeat flush, never later, so the Δ freshness bound is preserved. The
+// size trigger keeps the extra wakeups from fragmenting batches when
+// traffic is light. It runs on its own ticker: a tick dropped under load
+// must not stretch Δ.
+func (r *Manager) adaptiveFlushLoop() {
 	defer r.wg.Done()
-	t := time.NewTicker(interval)
+	t := time.NewTicker(max(r.cfg.HeartbeatInterval/4, 1))
 	defer t.Stop()
 	for {
 		select {
@@ -1381,39 +1360,18 @@ func (r *Manager) flushLoop(interval time.Duration) {
 			return
 		case <-t.C:
 		}
-		r.mu.Lock()
-		r.flushLocked()
-		r.mu.Unlock()
+		r.earlyFlush()
 	}
 }
 
-// adaptiveFlushLoop is the load-sensitive half of the flush cadence: at a
-// quarter of the flush interval it flushes any buffer that has already
-// filled a quarter of the batch cap. Under load this shrinks the effective Δ
-// (remote visibility improves) without touching the idle cadence — it only
-// ever flushes earlier than the timed/heartbeat flush, never later, so the
-// Δ freshness bound is preserved. The size trigger keeps the extra wakeups
-// from fragmenting batches when traffic is light.
-func (r *Manager) adaptiveFlushLoop(interval time.Duration) {
-	defer r.wg.Done()
-	threshold := r.batchSize / 4
-	if threshold < 2 {
-		threshold = 2
+// earlyFlush is one tick of adaptiveFlushLoop: flush when at least
+// earlyFlushThreshold updates are buffered.
+func (r *Manager) earlyFlush() {
+	r.mu.Lock()
+	if len(r.buf) >= earlyFlushThreshold {
+		r.flushLocked()
 	}
-	t := time.NewTicker(interval / 4)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.stop:
-			return
-		case <-t.C:
-		}
-		r.mu.Lock()
-		if len(r.buf) >= threshold {
-			r.flushLocked()
-		}
-		r.mu.Unlock()
-	}
+	r.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------------

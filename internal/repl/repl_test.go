@@ -152,6 +152,9 @@ func newTestManager(t *testing.T, cfg Config) (*Manager, *fakeTransport, *fakeBa
 		dcs = cfg.NumDCs
 	}
 	be := newFakeBackend(dcs)
+	if cfg.HeartbeatInterval == 0 {
+		cfg.HeartbeatInterval = time.Hour // no timed flush or heartbeat unless a test asks
+	}
 	cfg.Clock = be.clk
 	cfg.Endpoint = tr
 	cfg.Backend = be
@@ -161,6 +164,13 @@ func newTestManager(t *testing.T, cfg Config) (*Manager, *fakeTransport, *fakeBa
 	}
 	t.Cleanup(func() { m.Close(false) })
 	return m, tr, be
+}
+
+// flush drains the outbound buffer now, as a heartbeat tick would.
+func flush(m *Manager) {
+	m.mu.Lock()
+	m.flushLocked()
+	m.mu.Unlock()
 }
 
 func waitUntil(t *testing.T, timeout time.Duration, cond func() bool) bool {
@@ -180,13 +190,13 @@ func ver(dc int, ts vclock.Timestamp, key string) *item.Version {
 }
 
 // TestPublishSequencesBatches: flushed batches carry the incarnation epoch
-// and gap-free sequence numbers, identically on every link.
+// and gap-free sequence numbers, identically on every link. With Δ an hour
+// only the inline size trigger flushes, once per defaultBatchSize publishes.
 func TestPublishSequencesBatches(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, BatchSize: 2,
-		HeartbeatInterval: time.Hour, // timed flushing effectively off: size-driven flushes only
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 3*defaultBatchSize; i++ {
 		if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 			t.Fatal("publish refused")
 		}
@@ -205,10 +215,48 @@ func TestPublishSequencesBatches(t *testing.T) {
 				t.Fatalf("dc%d message %d: (epoch %d, seq %d), want (%d, %d)",
 					dc, i, b.Epoch, b.Seq, m.Epoch(), i+1)
 			}
-			if len(b.Versions) != 2 {
-				t.Fatalf("batch of %d versions, want 2", len(b.Versions))
+			if len(b.Versions) != defaultBatchSize {
+				t.Fatalf("batch of %d versions, want %d", len(b.Versions), defaultBatchSize)
 			}
 		}
+	}
+}
+
+// TestEarlyFlushThreshold: a quarter-Δ tick flushes only a buffer that holds
+// earlyFlushThreshold updates, as one batch with the link's next sequence.
+// Δ is an hour, so no heartbeat tick or inline size flush interferes.
+func TestEarlyFlushThreshold(t *testing.T) {
+	m, tr, _ := newTestManager(t, Config{
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
+	})
+	sib := netemu.NodeID{DC: 1, Partition: 0}
+	publish := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
+				t.Fatal("publish refused")
+			}
+		}
+	}
+	publish(1)
+	flush(m) // seq 1
+	publish(earlyFlushThreshold - 1)
+	m.earlyFlush()
+	if got := len(tr.msgs(sib)); got != 1 {
+		t.Fatalf("%d messages after a tick below the threshold, want only the seq-1 batch", got)
+	}
+	publish(1)
+	m.earlyFlush()
+	out := tr.msgs(sib)
+	if len(out) != 2 {
+		t.Fatalf("%d messages after a tick at the threshold, want 2", len(out))
+	}
+	b, ok := out[1].(msg.ReplicateBatch)
+	if !ok {
+		t.Fatalf("early flush sent %T", out[1])
+	}
+	if b.Seq != 2 || len(b.Versions) != earlyFlushThreshold {
+		t.Fatalf("early flush = seq %d with %d versions, want seq 2 with %d",
+			b.Seq, len(b.Versions), earlyFlushThreshold)
 	}
 }
 
@@ -345,17 +393,18 @@ func TestFirstContactWithHistoryResyncs(t *testing.T) {
 // follow-up round then asks from max(VV, resume) — strictly past the dead
 // round's applied prefix — instead of the frozen VV entry.
 func TestResumableRoundPersistsChunkProgress(t *testing.T) {
+	// Δ = 2 ms puts the re-request interval at its 100 ms floor.
 	m, tr, be := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
+		HeartbeatInterval: 2 * time.Millisecond,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
 	// Seq 2-3 lost; the gap opens round 1.
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 400, "d")}, HBTime: 400, Epoch: 7, Seq: 4})
-	out := tr.msgs(src)
-	req1, ok := out[len(out)-1].(msg.CatchUpRequest)
+	req1, ok := lastCatchUpRequest(tr, src)
 	if !ok || req1.From != 100 {
-		t.Fatalf("round 1 request = %#v, want From=100", out[len(out)-1])
+		t.Fatalf("round 1 request = %#v, want From=100", req1)
 	}
 	// Chunk 1 applies contiguously: its claim (own history ≤ 250 delivered)
 	// becomes the persisted resume floor.
@@ -378,10 +427,9 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	// sequenced arrival re-opens the round from the resume floor.
 	time.Sleep(120 * time.Millisecond)
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 500, "e")}, HBTime: 500, Epoch: 7, Seq: 5})
-	out = tr.msgs(src)
-	req2, ok := out[len(out)-1].(msg.CatchUpRequest)
+	req2, ok := lastCatchUpRequest(tr, src)
 	if !ok || req2.ReqID == req1.ReqID {
-		t.Fatalf("round 2 never opened: %#v", out[len(out)-1])
+		t.Fatalf("round 2 never opened: %#v", req2)
 	}
 	if req2.From != 250 {
 		t.Fatalf("round 2 From = %d, want 250 (chunk 1's claim, not the frozen VV 100, not the gapped chunk's 380)", req2.From)
@@ -406,6 +454,18 @@ func TestResumableRoundPersistsChunkProgress(t *testing.T) {
 	if got := be.VVEntry(1); got != 600 {
 		t.Fatalf("VV[1] = %d after resync, want 600", got)
 	}
+}
+
+// lastCatchUpRequest finds the newest CatchUpRequest sent to dst (heartbeats
+// interleave with it when Δ is short).
+func lastCatchUpRequest(tr *fakeTransport, dst netemu.NodeID) (msg.CatchUpRequest, bool) {
+	out := tr.msgs(dst)
+	for i := len(out) - 1; i >= 0; i-- {
+		if req, ok := out[i].(msg.CatchUpRequest); ok {
+			return req, true
+		}
+	}
+	return msg.CatchUpRequest{}, false
 }
 
 // TestServeCatchUpStreamsAndResumes: the serving side flushes, snapshots the
@@ -482,9 +542,9 @@ func TestServeCatchUpBackpressure(t *testing.T) {
 	}
 	m, tr, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
-		Source:           &fakeSource{vs: vs},
-		MaxInFlightBytes: 1, // every chunk must be acked before the next
+		Source: &fakeSource{vs: vs},
 	})
+	m.maxInFlight = 1 // every chunk must be acked before the next
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
@@ -583,7 +643,6 @@ func TestUnsupportedFallsBackOptimistically(t *testing.T) {
 func TestJoinRequestExtendsFanout(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
 		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, MaxDCs: 3,
-		BatchSize: 1,
 	})
 	joiner := netemu.NodeID{DC: 2, Partition: 0}
 	view := msg.Membership{Epoch: 1, Status: []uint8{msg.DCActive, msg.DCActive, msg.DCJoining}}
@@ -603,6 +662,7 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
+	flush(m)
 	batches := 0
 	for _, raw := range tr.msgs(joiner) {
 		if _, ok := raw.(msg.ReplicateBatch); ok {
@@ -622,8 +682,7 @@ func TestJoinRequestExtendsFanout(t *testing.T) {
 // completeness claim rests on), then goes silent.
 func TestLeaveFlushesThenNotifies(t *testing.T) {
 	m, tr, _ := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2, BatchSize: 64,
-		HeartbeatInterval: time.Hour,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 2,
 	})
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
@@ -664,7 +723,7 @@ func TestLeaveFlushesThenNotifies(t *testing.T) {
 // announced final timestamp, and drops the DC from the fan-out.
 func TestLeaveNoticeRetiresLink(t *testing.T) {
 	m, tr, be := newTestManager(t, Config{
-		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3, BatchSize: 1,
+		ID: netemu.NodeID{DC: 0, Partition: 0}, NumDCs: 3,
 	})
 	src := netemu.NodeID{DC: 1, Partition: 0}
 	m.HandleBatch(src, msg.ReplicateBatch{Versions: []*item.Version{ver(1, 100, "a")}, HBTime: 100, Epoch: 7, Seq: 1})
@@ -686,6 +745,7 @@ func TestLeaveNoticeRetiresLink(t *testing.T) {
 	if _, err := m.Publish(&item.Version{Key: "k", SrcReplica: 0}); err != nil {
 		t.Fatal("publish refused")
 	}
+	flush(m)
 	for _, raw := range tr.msgs(src) {
 		if _, ok := raw.(msg.ReplicateBatch); ok {
 			t.Fatal("batch sent to a departed DC")

@@ -151,13 +151,6 @@ type Config struct {
 	// alone already batches whatever accumulates during the previous
 	// fsync). Ignored without DataDir.
 	GroupCommitWindow time.Duration
-	// CatchUpMaxInFlight bounds the un-acked bytes per catch-up stream
-	// (0 = 1 MiB): the sender's backpressure window. Every replication
-	// link is sequenced: a replica that loses part of the update stream — a
-	// crashed sender's unflushed tail, or a receiver cut off from the
-	// network — detects the gap and, on a durable deployment, recovers the
-	// missing versions from its sibling's write-ahead log.
-	CatchUpMaxInFlight int
 	// MaxDataCenters reserves capacity for data centers joining at runtime
 	// (AddDataCenter): every server's causal metadata vectors are sized to
 	// it up front. 0 means DataCenters — fixed membership, no joins. A
@@ -248,11 +241,10 @@ func Open(cfg Config) (*Store, error) {
 			AckMode:         ackMode,
 			GroupWindow:     cfg.GroupCommitWindow,
 		},
-		CatchUpMaxInFlight: cfg.CatchUpMaxInFlight,
-		MaxDCs:             cfg.MaxDataCenters,
-		MaxPartitions:      cfg.MaxPartitions,
-		JoinTimeout:        cfg.JoinTimeout,
-		GCMaxHoldback:      cfg.GCMaxHoldback,
+		MaxDCs:        cfg.MaxDataCenters,
+		MaxPartitions: cfg.MaxPartitions,
+		JoinTimeout:   cfg.JoinTimeout,
+		GCMaxHoldback: cfg.GCMaxHoldback,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("occ: %w", err)
